@@ -23,9 +23,12 @@
 //! beyond the series length — yield `0.0`). This matters because the
 //! scalers downstream reject non-finite features at `fit`.
 
+use crate::graph_features::block_entry_names;
 use crate::importance::FeatureImportance;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::fmt;
+use tsg_graph::visibility::VisibilityKind;
 use tsg_ts::stats;
 
 /// How expensive a feature family is to compute, per series.
@@ -257,43 +260,9 @@ pub fn stat_family_len(family: StatFamily, config: &StatisticalConfig) -> usize 
 
 /// Names a statistical family contributes under `config`, in order.
 pub fn stat_family_names(family: StatFamily, config: &StatisticalConfig) -> Vec<String> {
-    match family {
-        StatFamily::Dist => [
-            "mean",
-            "std",
-            "min",
-            "max",
-            "median",
-            "iqr",
-            "q05",
-            "q25",
-            "q75",
-            "q95",
-            "skewness",
-            "kurtosis",
-            "energy",
-            "abs_mean",
-            "above_mean",
-            "below_mean",
-        ]
-        .iter()
-        .map(|n| format!("stat {n}"))
-        .collect(),
-        StatFamily::Trend => vec![
-            "stat trend_slope".to_string(),
-            "stat trend_intercept".to_string(),
-        ],
-        StatFamily::Peaks => vec![
-            "stat peak_count".to_string(),
-            "stat valley_count".to_string(),
-        ],
-        StatFamily::Acf => (1..=config.acf_lags)
-            .map(|lag| format!("stat acf_{lag}"))
-            .collect(),
-        StatFamily::Fft => (1..=config.fft_coefficients)
-            .map(|k| format!("stat fft_mag_{k}"))
-            .collect(),
-    }
+    (0..stat_family_len(family, config))
+        .filter_map(|idx| Column::Stat { family, idx }.name())
+        .collect()
 }
 
 /// Computes one statistical family for one series.
@@ -431,23 +400,161 @@ pub fn fft_magnitude_features(values: &[f64], n_coefficients: usize) -> Vec<f64>
     out
 }
 
+/// One column of a feature vector: where its value comes from.
+///
+/// The wide vector is every column a [`FeatureConfig`](crate::FeatureConfig)
+/// produces at a series length; a [`FeatureSelection`] is a list of columns
+/// in any order. The feature-name grammar lives in [`Column::name`] and
+/// [`Column::parse`] and nowhere else:
+///
+/// * `T{scale} {VG|HVG} {entry}` — entry `idx` of the graph feature block
+///   (the 17 motif probabilities `P(M21)` … `P(M411)`, then the 7 scalar
+///   statistics `density` … `degree_std`) of one visibility graph;
+/// * `stat {entry}` — entry `idx` of a per-series statistical family
+///   (`mean` … `below_mean`, `trend_slope`, `peak_count`, `acf_{lag}`,
+///   `fft_mag_{k}`, …).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Column {
+    /// Entry `idx` of the block of the `kind` graph at scale `scale`.
+    Graph {
+        /// Scale index (`0` = the original series).
+        scale: usize,
+        /// Visibility criterion of the graph.
+        kind: VisibilityKind,
+        /// Index into the full (24-entry) graph feature block.
+        idx: usize,
+    },
+    /// Entry `idx` of a per-series statistical family.
+    Stat {
+        /// The family.
+        family: StatFamily,
+        /// Index within the family.
+        idx: usize,
+    },
+}
+
+/// Statistical entries with fixed names; `acf` and `fft` are numbered.
+fn fixed_stat_names(family: StatFamily) -> &'static [&'static str] {
+    match family {
+        StatFamily::Dist => &[
+            "mean",
+            "std",
+            "min",
+            "max",
+            "median",
+            "iqr",
+            "q05",
+            "q25",
+            "q75",
+            "q95",
+            "skewness",
+            "kurtosis",
+            "energy",
+            "abs_mean",
+            "above_mean",
+            "below_mean",
+        ],
+        StatFamily::Trend => &["trend_slope", "trend_intercept"],
+        StatFamily::Peaks => &["peak_count", "valley_count"],
+        StatFamily::Acf | StatFamily::Fft => &[],
+    }
+}
+
+/// Name prefix of a numbered statistical family (entry `idx` is
+/// `{prefix}{idx + 1}`).
+fn numbered_stat_prefix(family: StatFamily) -> Option<&'static str> {
+    match family {
+        StatFamily::Acf => Some("acf_"),
+        StatFamily::Fft => Some("fft_mag_"),
+        _ => None,
+    }
+}
+
+impl Column {
+    /// The column's feature name, e.g. `T0 HVG P(M44)`, `T2 VG assortativity`
+    /// (the naming of Figure 10) or `stat acf_3`. `None` for an entry index
+    /// past its graph block or fixed-size family, which no name denotes.
+    pub(crate) fn name(&self) -> Option<String> {
+        match *self {
+            Column::Graph { scale, kind, idx } => {
+                let entry = block_entry_names().get(idx)?;
+                Some(format!("T{scale} {} {entry}", kind.short_name()))
+            }
+            Column::Stat { family, idx } => match numbered_stat_prefix(family) {
+                Some(prefix) => Some(format!("stat {prefix}{}", idx.checked_add(1)?)),
+                None => Some(format!("stat {}", fixed_stat_names(family).get(idx)?)),
+            },
+        }
+    }
+
+    /// The column a feature name denotes, or `None` if the name is not in
+    /// the grammar. Exactly inverts [`Column::name`]: every name has one
+    /// spelling, so `T01 …` or `stat acf_+1` do not parse.
+    pub(crate) fn parse(name: &str) -> Option<Column> {
+        let column = match name.strip_prefix("stat ") {
+            Some(entry) => StatFamily::ALL.into_iter().find_map(|family| {
+                let idx = match numbered_stat_prefix(family) {
+                    Some(prefix) => entry
+                        .strip_prefix(prefix)?
+                        .parse::<usize>()
+                        .ok()?
+                        .checked_sub(1)?,
+                    None => fixed_stat_names(family).iter().position(|n| *n == entry)?,
+                };
+                Some(Column::Stat { family, idx })
+            })?,
+            None => {
+                let (scale, rest) = name.strip_prefix('T')?.split_once(' ')?;
+                let (kind, entry) = rest.split_once(' ')?;
+                let kind = [VisibilityKind::Natural, VisibilityKind::Horizontal]
+                    .into_iter()
+                    .find(|k| k.short_name() == kind)?;
+                let idx = block_entry_names().iter().position(|n| n == entry)?;
+                Column::Graph {
+                    scale: scale.parse().ok()?,
+                    kind,
+                    idx,
+                }
+            }
+        };
+        (column.name().as_deref() == Some(name)).then_some(column)
+    }
+}
+
 /// An importance-chosen subset of the wide catalogue.
 ///
-/// The names are a subset of the wide feature names of some
-/// [`FeatureConfig`](crate::FeatureConfig), kept in **wide-vector order** so
-/// pruned extraction is exactly a column selection of wide extraction
-/// (pinned bit-for-bit by the determinism suite). Attached to a
-/// `FeatureConfig` via its `selection` field, it makes the extractor compute
-/// only the graphs, censuses and statistical families the subset needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The names are feature names of some [`FeatureConfig`](crate::FeatureConfig)'s
+/// wide vector. [`FeatureSelection::from_importances`] keeps them in
+/// **wide-vector order**; extraction emits them in whatever order they are
+/// given, each bit-identical to its wide column (pinned by the determinism
+/// suite). The names are resolved to columns (`Column`) once, here, so
+/// extraction never touches a string. Attached to a `FeatureConfig` via its `selection`
+/// field, it makes the extractor compute only the graphs, censuses and
+/// statistical families the subset needs.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureSelection {
     names: Vec<String>,
+    /// `names` resolved through [`Column::parse`]; `None` for a name outside
+    /// the grammar (extracted as `0.0`, rejected by `validate`).
+    columns: Vec<Option<Column>>,
+}
+
+// The names alone are the selection's identity: the `Debug` rendering feeds
+// the model fingerprint persisted in snapshots, so it must not show the
+// resolved columns.
+impl fmt::Debug for FeatureSelection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FeatureSelection")
+            .field("names", &self.names)
+            .finish()
+    }
 }
 
 impl FeatureSelection {
     /// Wraps an explicit list of wide-catalogue feature names.
     pub fn new(names: Vec<String>) -> Self {
-        FeatureSelection { names }
+        let columns = names.iter().map(|name| Column::parse(name)).collect();
+        FeatureSelection { names, columns }
     }
 
     /// Picks the `k` most important features and returns them re-ordered to
@@ -478,7 +585,7 @@ impl FeatureSelection {
         if names.is_empty() {
             return Err("none of the ranked feature names exist in the wide catalogue".to_string());
         }
-        Ok(FeatureSelection { names })
+        Ok(FeatureSelection::new(names))
     }
 
     /// Checks the selection against the catalogue of `config`: it must be
@@ -493,20 +600,26 @@ impl FeatureSelection {
             return Err("feature selection is empty".to_string());
         }
         let mut seen = BTreeSet::new();
-        for name in &self.names {
+        for (name, column) in self.names.iter().zip(&self.columns) {
             if !seen.insert(name.as_str()) {
                 return Err(format!("duplicate feature {name:?} in selection"));
             }
-            if !config.is_known_feature_name(name) {
+            if !column.is_some_and(|c| config.is_known_column(c)) {
                 return Err(format!("feature {name:?} is not in the running catalogue"));
             }
         }
         Ok(())
     }
 
-    /// The selected feature names, in wide-vector order.
+    /// The selected feature names, in selection order.
     pub fn names(&self) -> &[String] {
         &self.names
+    }
+
+    /// The selected columns, in selection order (`None` for a name outside
+    /// the grammar).
+    pub(crate) fn columns(&self) -> &[Option<Column>] {
+        &self.columns
     }
 
     /// Number of selected features.

@@ -75,7 +75,7 @@ impl MvgConfig {
             features: FeatureConfig::mvg(),
             classifier: ClassifierChoice::GradientBoostingGrid,
             oversample: true,
-            n_threads: crate::parallel::default_threads(),
+            n_threads: tsg_parallel::default_threads(),
             seed: 7,
         }
     }
@@ -94,7 +94,7 @@ impl MvgConfig {
                 ..Default::default()
             }),
             oversample: true,
-            n_threads: crate::parallel::default_threads(),
+            n_threads: tsg_parallel::default_threads(),
             seed: 7,
         }
     }
@@ -314,7 +314,7 @@ impl MvgClassifier {
     /// Pads/truncates raw (unscaled) feature rows to the training width and
     /// applies the fitted scaler. Rows must come from this classifier's
     /// [`FeatureConfig`](crate::FeatureConfig) (e.g. via
-    /// [`crate::extract_series_features_with`]).
+    /// [`crate::extract_series_features_traced`]).
     fn transform_rows(&self, mut rows: Vec<Vec<f64>>) -> crate::Result<FeatureMatrix> {
         let scaler = self.scaler.as_ref().ok_or(MlError::NotFitted)?;
         // pad/truncate to the training width (different-length test series)

@@ -12,29 +12,33 @@
 //! [`FeatureMatrix`] (in parallel), producing the input of the generic
 //! classifiers.
 //!
-//! With a selection attached the extractor computes **only what the subset
-//! needs**: graphs whose features were all pruned away are never built,
-//! motif censuses run only where a motif probability survived, and the
-//! statistical families are computed family-by-family on demand. Pruned
-//! extraction is exactly a column selection of wide extraction, bit-for-bit
-//! (pinned by `tests/determinism.rs`).
+//! There is one executor. It runs a list of columns (`catalogue::Column`):
+//! the wide vector is every column the configuration produces at the
+//! series' length, and a selection is the list of columns its names were
+//! resolved to when it was built. The executor builds only the graphs and
+//! half-blocks (motif probabilities, graph statistics) some column reads,
+//! runs a motif census only where a motif column survives, computes only
+//! the statistical families some column reads, and emits the columns in
+//! list order. A column the configuration cannot produce at this length
+//! reads `0.0`.
+//! Pruned extraction is therefore exactly a column selection of wide
+//! extraction, bit-for-bit (pinned by `tests/determinism.rs`).
 
 use crate::catalogue::{
-    compute_stat_family, stat_family_names, FeatureSelection, StatFamily, StatisticalConfig,
+    compute_stat_family, stat_family_len, Column, FeatureSelection, StatFamily, StatisticalConfig,
 };
-use crate::graph_features::{block_len, graph_feature_names};
-use crate::motif_groups::motif_probability_distribution;
-use crate::parallel::parallel_map;
+use crate::graph_features::block_len;
+use crate::motif_groups::{motif_probability_distribution, N_MOTIF_FEATURES};
 use crate::representation::{scale_values_with_sink, ScaleMode};
 use crate::trace::{ExtractStage, NoopTraceSink, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use tsg_graph::motifs::{count_motifs, count_motifs_with, MotifWorkspace};
 use tsg_graph::stats::GraphStatistics;
 use tsg_graph::visibility::VisibilityKind;
 use tsg_graph::{Graph, MotifCounts};
 use tsg_ml::data::FeatureMatrix;
+use tsg_parallel::parallel_map;
 use tsg_ts::multiscale::MultiscaleOptions;
 use tsg_ts::preprocess::detrend;
 use tsg_ts::{Dataset, TimeSeries};
@@ -211,6 +215,33 @@ impl FeatureConfig {
             + self.statistical.n_features()
     }
 
+    /// Every column the configuration produces for a series of length
+    /// `len`, in wide-vector order: the graph blocks scale-major, then kind,
+    /// then the statistical layer when enabled.
+    fn wide_columns(&self, len: usize) -> Vec<Column> {
+        let mut columns = Vec::with_capacity(self.n_features_for_length(len));
+        for scale in self.scale_indices_for_length(len) {
+            for &kind in &self.kinds {
+                columns.extend(
+                    (0..block_len(self.include_other_stats)).map(|idx| Column::Graph {
+                        scale,
+                        kind,
+                        idx,
+                    }),
+                );
+            }
+        }
+        if self.statistical.enabled {
+            for family in StatFamily::ALL {
+                columns.extend(
+                    (0..stat_family_len(family, &self.statistical))
+                        .map(|idx| Column::Stat { family, idx }),
+                );
+            }
+        }
+        columns
+    }
+
     /// Feature names for a series of length `len`, e.g. `T0 HVG P(M44)` or
     /// `T2 VG assortativity` (the naming used in Figure 10), followed by
     /// the `stat …` names of the statistical layer when enabled. With a
@@ -220,52 +251,36 @@ impl FeatureConfig {
         if let Some(selection) = &self.selection {
             return selection.names().to_vec();
         }
-        let block_names = graph_feature_names(self.include_other_stats);
-        let mut out = Vec::with_capacity(self.n_features_for_length(len));
-        for scale in self.scale_indices_for_length(len) {
-            for kind in &self.kinds {
-                for name in &block_names {
-                    out.push(format!("T{} {} {}", scale, kind.short_name(), name));
-                }
-            }
-        }
-        out.extend(self.statistical.feature_names());
-        out
+        let columns = self.wide_columns(len);
+        let mut names = Vec::with_capacity(columns.len());
+        names.extend(columns.iter().filter_map(Column::name));
+        names
     }
 
     /// Whether `name` denotes a feature this configuration's catalogue can
     /// produce for *some* series length — the membership test behind
     /// [`FeatureSelection::validate`].
     pub fn is_known_feature_name(&self, name: &str) -> bool {
-        if self.statistical.enabled && self.statistical.feature_names().iter().any(|n| n == name) {
-            return true;
+        Column::parse(name).is_some_and(|column| self.is_known_column(column))
+    }
+
+    /// Whether this configuration produces `column` for *some* series length.
+    pub(crate) fn is_known_column(&self, column: Column) -> bool {
+        match column {
+            Column::Graph { scale, kind, idx } => {
+                self.kinds.contains(&kind)
+                    && idx < block_len(self.include_other_stats)
+                    // a series of length L admits at most log2(L) halvings,
+                    // and T0 is reachable under every mode (AMVG falls back
+                    // to it)
+                    && scale < 64
+                    && scale <= self.multiscale.max_scales
+                    && (self.scale_mode != ScaleMode::Uniscale || scale == 0)
+            }
+            Column::Stat { family, idx } => {
+                self.statistical.enabled && idx < stat_family_len(family, &self.statistical)
+            }
         }
-        let Some(rest) = name.strip_prefix('T') else {
-            return false;
-        };
-        let Some((scale_str, rest)) = rest.split_once(' ') else {
-            return false;
-        };
-        let Ok(scale) = scale_str.parse::<usize>() else {
-            return false;
-        };
-        let Some((kind_str, block_name)) = rest.split_once(' ') else {
-            return false;
-        };
-        if !self.kinds.iter().any(|k| k.short_name() == kind_str) {
-            return false;
-        }
-        if !graph_feature_names(self.include_other_stats)
-            .iter()
-            .any(|n| n == block_name)
-        {
-            return false;
-        }
-        // a series of length L admits at most log2(L) halvings, and T0 is
-        // reachable under every mode (AMVG falls back to it)
-        scale < 64
-            && scale <= self.multiscale.max_scales
-            && (self.scale_mode != ScaleMode::Uniscale || scale == 0)
     }
 }
 
@@ -273,36 +288,26 @@ impl FeatureConfig {
 /// reusing the calling thread's motif workspace (the thread-local inside
 /// [`tsg_graph::motifs::count_motifs`]).
 pub fn extract_series_features(series: &TimeSeries, config: &FeatureConfig) -> Vec<f64> {
-    extract_features_impl(series, config, &mut NoopTraceSink, |graph, _| {
+    extract_columns(series, config, &mut NoopTraceSink, |graph, _| {
         count_motifs(graph)
     })
 }
 
 /// [`extract_series_features`] with a caller-held motif workspace (the
 /// scratch memory of the hottest kernel; see
-/// [`tsg_graph::motifs::MotifWorkspace`]).
-pub fn extract_series_features_with(
-    series: &TimeSeries,
-    config: &FeatureConfig,
-    workspace: &mut MotifWorkspace,
-) -> Vec<f64> {
-    extract_features_impl(series, config, &mut NoopTraceSink, |graph, _| {
-        count_motifs_with(graph, workspace)
-    })
-}
-
-/// [`extract_series_features_with`] with a [`TraceSink`] observing the
+/// [`tsg_graph::motifs::MotifWorkspace`]) and a [`TraceSink`] observing the
 /// `Scale`/`GraphBuild`/`MotifCount`/`Statistical` sub-stages — the seam
-/// the serving layer uses for per-request latency attribution. The sink
-/// only receives callbacks (this crate stays clock-free); the returned
-/// features are bit-identical to the untraced entry points.
+/// the serving layer uses for per-request latency attribution. Untraced
+/// callers pass [`NoopTraceSink`]. The sink only receives callbacks (this
+/// crate stays clock-free); the returned features are bit-identical to
+/// [`extract_series_features`].
 pub fn extract_series_features_traced<S: TraceSink>(
     series: &TimeSeries,
     config: &FeatureConfig,
     workspace: &mut MotifWorkspace,
     sink: &mut S,
 ) -> Vec<f64> {
-    extract_features_impl(series, config, sink, |graph, sink| {
+    extract_columns(series, config, sink, |graph, sink| {
         sink.enter(ExtractStage::MotifCount);
         let counts = count_motifs_with(graph, workspace);
         sink.exit(ExtractStage::MotifCount);
@@ -310,11 +315,14 @@ pub fn extract_series_features_traced<S: TraceSink>(
     })
 }
 
-fn extract_features_impl<S: TraceSink>(
+/// The executor: the selection's columns, or every wide column at the
+/// series' length, computed from only the graphs, half-blocks and
+/// statistical families they read.
+fn extract_columns<S: TraceSink>(
     series: &TimeSeries,
     config: &FeatureConfig,
     sink: &mut S,
-    census: impl FnMut(&Graph, &mut S) -> MotifCounts,
+    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
 ) -> Vec<f64> {
     let prepared;
     let series = if config.detrend {
@@ -323,185 +331,97 @@ fn extract_features_impl<S: TraceSink>(
     } else {
         series
     };
-    match &config.selection {
-        None => extract_wide(series, config, sink, census),
-        Some(selection) => extract_selected(series, config, selection, sink, census),
-    }
-}
 
-/// The full catalogue: every graph block in scale-then-kind order, then the
-/// statistical layer.
-fn extract_wide<S: TraceSink>(
-    series: &TimeSeries,
-    config: &FeatureConfig,
-    sink: &mut S,
-    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
-) -> Vec<f64> {
-    let scale_values = scale_values_with_sink(series, config.scale_mode, config.multiscale, sink);
-    let mut features = Vec::with_capacity(
-        scale_values.len() * config.kinds.len() * block_len(config.include_other_stats)
-            + config.statistical.n_features(),
-    );
-    for (_, values) in &scale_values {
-        for &kind in &config.kinds {
-            sink.enter(ExtractStage::GraphBuild);
-            let graph = kind.build(values);
-            sink.exit(ExtractStage::GraphBuild);
-            let counts = census(&graph, sink);
-            features.extend(motif_probability_distribution(&counts));
-            if config.include_other_stats {
-                features.extend(GraphStatistics::compute(&graph).to_features());
-            }
-        }
-    }
-    if config.statistical.enabled {
-        sink.enter(ExtractStage::Statistical);
-        features.extend(config.statistical.compute(series.values()));
-        sink.exit(ExtractStage::Statistical);
-    }
-    features
-}
-
-/// Where one selected column's value comes from.
-#[derive(Clone, Copy)]
-enum ColumnSpec {
-    /// Motif probability `idx` of the graph at `slot` (scale-major, then
-    /// kind).
-    Motif { slot: usize, idx: usize },
-    /// Scalar graph statistic `idx` of the graph at `slot`.
-    GraphStat { slot: usize, idx: usize },
-    /// Feature `idx` of one per-series statistical family.
-    Stat { family: StatFamily, idx: usize },
-}
-
-/// Pruned extraction: compute only the graphs, censuses and statistical
-/// families the selection needs, then emit columns in selection order.
-/// Selected names that do not exist at this series length (e.g. a scale the
-/// series is too short to produce) yield `0.0`, mirroring the zero-padding
-/// of the wide path.
-fn extract_selected<S: TraceSink>(
-    series: &TimeSeries,
-    config: &FeatureConfig,
-    selection: &FeatureSelection,
-    sink: &mut S,
-    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
-) -> Vec<f64> {
+    // Each column's source is entry `idx` of one value table: tables
+    // `0..n_slots` are the graph blocks (scale-major, then kind), table
+    // `n_slots + f` is statistical family `f` (`StatFamily` discriminants
+    // follow `StatFamily::ALL`). `None` marks a column the configuration
+    // cannot produce at this length.
     let scales = config.scale_indices_for_length(series.len());
     let n_kinds = config.kinds.len();
-    let block_names = graph_feature_names(config.include_other_stats);
-
-    // the wide layout of this series length, as name -> column source
-    let mut spec_of: BTreeMap<String, ColumnSpec> = BTreeMap::new();
-    for (si, &scale) in scales.iter().enumerate() {
-        for (ki, kind) in config.kinds.iter().enumerate() {
-            let slot = si * n_kinds + ki;
-            for (bi, block_name) in block_names.iter().enumerate() {
-                let name = format!("T{} {} {}", scale, kind.short_name(), block_name);
-                let spec = if bi < block_len(false) {
-                    ColumnSpec::Motif { slot, idx: bi }
-                } else {
-                    ColumnSpec::GraphStat {
-                        slot,
-                        idx: bi - block_len(false),
-                    }
-                };
-                spec_of.insert(name, spec);
-            }
-        }
-    }
-    if config.statistical.enabled {
-        for family in StatFamily::ALL {
-            for (idx, name) in stat_family_names(family, &config.statistical)
-                .into_iter()
-                .enumerate()
-            {
-                spec_of.insert(name, ColumnSpec::Stat { family, idx });
-            }
-        }
-    }
-    let columns: Vec<Option<ColumnSpec>> = selection
-        .names()
-        .iter()
-        .map(|name| spec_of.get(name).copied())
-        .collect();
-
-    // which graphs (and which halves of their blocks) the columns touch
     let n_slots = scales.len() * n_kinds;
-    let mut need_motifs = vec![false; n_slots];
-    let mut need_stats = vec![false; n_slots];
-    let mut needed_families: Vec<StatFamily> = Vec::new();
-    for spec in columns.iter().flatten() {
-        match spec {
-            ColumnSpec::Motif { slot, .. } => need_motifs[*slot] = true,
-            ColumnSpec::GraphStat { slot, .. } => need_stats[*slot] = true,
-            ColumnSpec::Stat { family, .. } => {
-                if !needed_families.contains(family) {
-                    needed_families.push(*family);
+    let locate = |column: Option<Column>| match column? {
+        Column::Graph { scale, kind, idx } if idx < block_len(config.include_other_stats) => {
+            let si = scales.iter().position(|&s| s == scale)?;
+            let ki = config.kinds.iter().position(|&k| k == kind)?;
+            Some((si * n_kinds + ki, idx))
+        }
+        Column::Stat { family, idx }
+            if config.statistical.enabled && idx < stat_family_len(family, &config.statistical) =>
+        {
+            Some((n_slots + family as usize, idx))
+        }
+        _ => None,
+    };
+    let sources: Vec<Option<(usize, usize)>> = match &config.selection {
+        Some(selection) => selection.columns().iter().map(|&c| locate(c)).collect(),
+        None => config
+            .wide_columns(series.len())
+            .into_iter()
+            .map(|c| locate(Some(c)))
+            .collect(),
+    };
+    // which halves of each table some column reads: for a graph, its motif
+    // probabilities and its scalar statistics; a family is read whole
+    let mut reads = vec![[false; 2]; n_slots + StatFamily::ALL.len()];
+    for &(table, idx) in sources.iter().flatten() {
+        if let Some(halves) = reads.get_mut(table) {
+            halves[usize::from(idx >= N_MOTIF_FEATURES)] = true;
+        }
+    }
+    let (graph_reads, family_reads) = reads.split_at(n_slots);
+    let mut tables: Vec<Vec<f64>> = vec![Vec::new(); reads.len()];
+
+    if graph_reads.iter().flatten().any(|&read| read) {
+        let scale_values =
+            scale_values_with_sink(series, config.scale_mode, config.multiscale, sink);
+        debug_assert_eq!(
+            scale_values.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            scales,
+            "scale layout must match the cascade"
+        );
+        for (si, (_, values)) in scale_values.iter().enumerate() {
+            for (ki, &kind) in config.kinds.iter().enumerate() {
+                let slot = si * n_kinds + ki;
+                let Some(&[motifs, stats]) = graph_reads.get(slot) else {
+                    continue;
+                };
+                if !motifs && !stats {
+                    continue;
                 }
+                sink.enter(ExtractStage::GraphBuild);
+                let graph = kind.build(values);
+                sink.exit(ExtractStage::GraphBuild);
+                let mut block = if motifs {
+                    motif_probability_distribution(&census(&graph, sink))
+                } else {
+                    vec![0.0; N_MOTIF_FEATURES]
+                };
+                if stats {
+                    block.extend(GraphStatistics::compute(&graph).to_features());
+                }
+                tables[slot] = block;
             }
         }
     }
 
-    let scale_values = scale_values_with_sink(series, config.scale_mode, config.multiscale, sink);
-    debug_assert_eq!(
-        scale_values.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-        scales,
-        "scale layout must match the cascade"
-    );
-    let mut motif_probs: Vec<Option<Vec<f64>>> = vec![None; n_slots];
-    let mut graph_stats: Vec<Option<Vec<f64>>> = vec![None; n_slots];
-    for (si, (_, values)) in scale_values.iter().enumerate() {
-        for (ki, &kind) in config.kinds.iter().enumerate() {
-            let slot = si * n_kinds + ki;
-            if slot >= n_slots || (!need_motifs[slot] && !need_stats[slot]) {
-                continue;
-            }
-            sink.enter(ExtractStage::GraphBuild);
-            let graph = kind.build(values);
-            sink.exit(ExtractStage::GraphBuild);
-            if need_motifs[slot] {
-                let counts = census(&graph, sink);
-                motif_probs[slot] = Some(motif_probability_distribution(&counts));
-            }
-            if need_stats[slot] {
-                graph_stats[slot] = Some(GraphStatistics::compute(&graph).to_features());
-            }
-        }
-    }
-
-    let mut family_values: BTreeMap<StatFamily, Vec<f64>> = BTreeMap::new();
-    if !needed_families.is_empty() {
+    if family_reads.iter().flatten().any(|&read| read) {
         sink.enter(ExtractStage::Statistical);
-        for family in StatFamily::ALL {
-            if needed_families.contains(&family) {
-                family_values.insert(
-                    family,
-                    compute_stat_family(family, &config.statistical, series.values()),
-                );
+        for (family, halves) in StatFamily::ALL.into_iter().zip(family_reads) {
+            if halves.contains(&true) {
+                tables[n_slots + family as usize] =
+                    compute_stat_family(family, &config.statistical, series.values());
             }
         }
         sink.exit(ExtractStage::Statistical);
     }
 
-    let lookup = |stored: &[Option<Vec<f64>>], slot: usize, idx: usize| {
-        stored
-            .get(slot)
-            .and_then(|s| s.as_ref())
-            .and_then(|v| v.get(idx))
-            .copied()
-            .unwrap_or(0.0)
-    };
-    columns
+    sources
         .iter()
-        .map(|spec| match spec {
-            None => 0.0,
-            Some(ColumnSpec::Motif { slot, idx }) => lookup(&motif_probs, *slot, *idx),
-            Some(ColumnSpec::GraphStat { slot, idx }) => lookup(&graph_stats, *slot, *idx),
-            Some(ColumnSpec::Stat { family, idx }) => family_values
-                .get(family)
-                .and_then(|v| v.get(*idx))
-                .copied()
-                .unwrap_or(0.0),
+        .map(|source| {
+            source
+                .and_then(|(table, idx)| tables.get(table)?.get(idx).copied())
+                .unwrap_or(0.0)
         })
         .collect()
 }
@@ -621,6 +541,7 @@ pub fn extract_features_streaming<E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tsg_ts::generators;
@@ -693,6 +614,14 @@ mod tests {
                     config.n_scales_for_length(len),
                     config.scale_indices_for_length(len).len()
                 );
+                // every wide name parses back to its own column, and the
+                // catalogue accepts it
+                let columns = config.wide_columns(len);
+                assert_eq!(columns.len(), names.len());
+                for (name, column) in names.iter().zip(columns) {
+                    assert_eq!(Column::parse(name), Some(column), "{name}");
+                    assert!(config.is_known_feature_name(name), "{name}");
+                }
             }
         }
         // and extraction itself matches the predicted width on a sample
@@ -758,6 +687,25 @@ mod tests {
             pruned_config.n_features_for_length(series.len()),
             chosen.len()
         );
+
+        // the same columns in shuffled order come out in selection order
+        let mut shuffled = chosen.clone();
+        shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(7));
+        assert_ne!(shuffled, chosen);
+        let shuffled_config = FeatureConfig {
+            selection: Some(FeatureSelection::new(shuffled.clone())),
+            ..FeatureConfig::wide()
+        };
+        let pruned = extract_series_features(&series, &shuffled_config);
+        assert_eq!(pruned.len(), shuffled.len());
+        for (i, name) in shuffled.iter().enumerate() {
+            let wide_idx = wide_names.iter().position(|n| n == name).unwrap();
+            assert_eq!(
+                pruned[i].to_bits(),
+                wide[wide_idx].to_bits(),
+                "shuffled column {name} differs"
+            );
+        }
     }
 
     #[test]
@@ -787,6 +735,11 @@ mod tests {
         assert!(!wide.is_known_feature_name("T0 VG bogus_feature"));
         assert!(!wide.is_known_feature_name("bogus"));
         assert!(!wide.is_known_feature_name("T999999999999999999999 VG P(M44)"));
+        // one spelling per column
+        assert!(!wide.is_known_feature_name("T01 VG P(M44)"));
+        assert!(!wide.is_known_feature_name("T+1 VG P(M44)"));
+        assert!(!wide.is_known_feature_name("stat acf_0"));
+        assert!(!wide.is_known_feature_name("stat acf_08"));
 
         let mvg = FeatureConfig::mvg();
         assert!(!mvg.is_known_feature_name("stat mean"), "layer disabled");

@@ -7,8 +7,8 @@
 //! Table 2.
 
 use crate::motif_groups::{motif_feature_names, motif_probability_distribution};
-use crate::trace::{ExtractStage, NoopTraceSink, TraceSink};
-use tsg_graph::motifs::{count_motifs, count_motifs_with, MotifWorkspace};
+use std::sync::OnceLock;
+use tsg_graph::motifs::count_motifs;
 use tsg_graph::stats::GraphStatistics;
 use tsg_graph::Graph;
 
@@ -18,43 +18,9 @@ use tsg_graph::Graph;
 /// * `include_other_stats = true`  → 17 motif probabilities followed by 7
 ///   scalar statistics.
 ///
-/// Motif counting reuses the calling thread's [`MotifWorkspace`]; use
-/// [`graph_feature_block_with`] to hold the workspace explicitly.
+/// Motif counting reuses the calling thread's motif workspace.
 pub fn graph_feature_block(graph: &Graph, include_other_stats: bool) -> Vec<f64> {
-    features_from_counts(count_motifs(graph), graph, include_other_stats)
-}
-
-/// [`graph_feature_block`] with a caller-held motif workspace, so a worker
-/// processing a stream of graphs performs zero motif-kernel allocations
-/// after the first one.
-pub fn graph_feature_block_with(
-    graph: &Graph,
-    include_other_stats: bool,
-    workspace: &mut MotifWorkspace,
-) -> Vec<f64> {
-    graph_feature_block_traced(graph, include_other_stats, workspace, &mut NoopTraceSink)
-}
-
-/// [`graph_feature_block_with`] with a [`TraceSink`] observing the motif
-/// census (the hottest kernel). Callbacks only — results are identical.
-pub fn graph_feature_block_traced(
-    graph: &Graph,
-    include_other_stats: bool,
-    workspace: &mut MotifWorkspace,
-    sink: &mut impl TraceSink,
-) -> Vec<f64> {
-    sink.enter(ExtractStage::MotifCount);
-    let counts = count_motifs_with(graph, workspace);
-    sink.exit(ExtractStage::MotifCount);
-    features_from_counts(counts, graph, include_other_stats)
-}
-
-fn features_from_counts(
-    counts: tsg_graph::MotifCounts,
-    graph: &Graph,
-    include_other_stats: bool,
-) -> Vec<f64> {
-    let mut features = motif_probability_distribution(&counts);
+    let mut features = motif_probability_distribution(&count_motifs(graph));
     if include_other_stats {
         features.extend(GraphStatistics::compute(graph).to_features());
     }
@@ -63,15 +29,25 @@ fn features_from_counts(
 
 /// Names for [`graph_feature_block`], in the same order.
 pub fn graph_feature_names(include_other_stats: bool) -> Vec<String> {
-    let mut names = motif_feature_names();
-    if include_other_stats {
-        names.extend(
-            GraphStatistics::feature_names()
-                .into_iter()
-                .map(|s| s.to_string()),
-        );
-    }
-    names
+    block_entry_names()
+        .iter()
+        .take(block_len(include_other_stats))
+        .cloned()
+        .collect()
+}
+
+/// The entry names of a full graph feature block, built once: the motif
+/// probabilities `P(M21)` … `P(M411)`, then the scalar statistics
+/// `density` … `degree_std`.
+pub(crate) fn block_entry_names() -> &'static [String] {
+    static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        let statistics = GraphStatistics::feature_names().into_iter();
+        motif_feature_names()
+            .into_iter()
+            .chain(statistics.map(String::from))
+            .collect()
+    })
 }
 
 /// Number of features in one block.

@@ -208,21 +208,6 @@ pub enum NetFault {
     Err,
 }
 
-impl NetFault {
-    /// The `io::Error` this fault simulates, when it is an error
-    /// (everything except [`NetFault::Short`]).
-    pub fn to_error(self) -> Option<io::Error> {
-        let kind = match self {
-            NetFault::Interrupt => io::ErrorKind::Interrupted,
-            NetFault::WouldBlock => io::ErrorKind::WouldBlock,
-            NetFault::Reset => io::ErrorKind::ConnectionReset,
-            NetFault::Err => io::ErrorKind::Other,
-            NetFault::Short => return None,
-        };
-        Some(io::Error::new(kind, "injected fault (tsg_faults)"))
-    }
-}
-
 /// Outcome a file seam applies. Payload values carry seeded randomness for
 /// the cut/flip position so the schedule stays deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,10 +225,10 @@ fn injected_err() -> io::Error {
     io::Error::other("injected fault (tsg_faults)")
 }
 
-/// splitmix64 — the repo-wide seeding primitive (see `tsg_parallel`,
-/// `serve_loadgen`). Deterministic, full-period, cheap.
-#[cfg(feature = "injection")]
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64 — the repo-wide seeding primitive, shared with
+/// `serve_loadgen`'s synthetic load. Advances `state` and returns the next
+/// output. Deterministic, full-period, cheap.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -18,9 +18,9 @@ use tsc_mvg::ml::stacking::{StackingEnsemble, StackingParams};
 use tsc_mvg::ml::traits::Classifier;
 use tsc_mvg::ml::tree::{DecisionTree, DecisionTreeParams};
 use tsc_mvg::ml::{FeatureMatrix, GridSearch};
-use tsc_mvg::mvg::extract_series_features_with;
 use tsc_mvg::mvg::{
-    extract_dataset_features, extract_features_streaming, FeatureConfig, MvgClassifier, MvgConfig,
+    extract_dataset_features, extract_features_streaming, extract_series_features_traced,
+    FeatureConfig, MvgClassifier, MvgConfig, NoopTraceSink,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -157,12 +157,19 @@ fn workspace_reuse_is_bit_identical_to_fresh_workspaces() {
     let with_reuse: Vec<Vec<f64>> = train
         .series()
         .iter()
-        .map(|s| extract_series_features_with(s, &config, &mut reused))
+        .map(|s| extract_series_features_traced(s, &config, &mut reused, &mut NoopTraceSink))
         .collect();
     let with_fresh: Vec<Vec<f64>> = train
         .series()
         .iter()
-        .map(|s| extract_series_features_with(s, &config, &mut MotifWorkspace::new()))
+        .map(|s| {
+            extract_series_features_traced(
+                s,
+                &config,
+                &mut MotifWorkspace::new(),
+                &mut NoopTraceSink,
+            )
+        })
         .collect();
     assert_eq!(bits(&with_reuse), bits(&with_fresh));
 
